@@ -325,6 +325,11 @@ def _optimize_schedule_impl(
     guideline_periods: Optional[FloatArray] = None
     if include_guideline_start:
         guideline_periods = _guideline_start(p, c, cache=cache, engine=search_engine)
+        # The sparse sweep above 24 periods can skip the guideline's own
+        # count, and then no start reproduces the guideline schedule: sweep
+        # that count too, so the result is never worse than the guideline.
+        if guideline_periods is not None and guideline_periods.size <= counts[-1]:
+            counts = sorted(set(counts) | {guideline_periods.size})
 
     best: Optional[OptimizationResult] = None
     for m in counts:

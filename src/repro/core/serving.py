@@ -443,13 +443,18 @@ class PlanServer:
             rep_of.append(first_seen.setdefault(key, i))
         reps = [i for i in range(n) if rep_of[i] == i]
 
-        # Invalid queries (unknown family, out-of-domain parameter) fail per
-        # lane before any tier runs — exactly the exception the scalar path
-        # raises, without poisoning the rest of the batch.
+        # Invalid queries (unknown family, out-of-domain parameter, overhead
+        # c not finite and positive) fail per lane before any tier runs —
+        # exactly the exception the scalar path raises, without poisoning
+        # the rest of the batch or touching any breaker.
         ps: dict[int, LifeFunction] = {}
         invalid: dict[int, BaseException] = {}
         for i in reps:
             try:
+                if not (math.isfinite(cs_list[i]) and cs_list[i] > 0.0):
+                    raise PlanServingError(
+                        f"overhead c must be finite and positive, got {cs_list[i]}"
+                    )
                 ps[i] = self._family_life(fams[i], vs_list[i])
             except Exception as exc:
                 invalid[i] = exc

@@ -17,6 +17,7 @@ from repro.core.life_functions import (
     PolynomialRisk,
     UniformRisk,
 )
+from repro.core.guidelines import guideline_schedule
 from repro.core.life_functions import Shape
 from repro.core.optimizer import (
     _candidate_period_counts,
@@ -110,6 +111,16 @@ class TestSweep:
         # Truncated NLP should approach the infinite-schedule closed form.
         assert res.expected_work == pytest.approx(closed, rel=1e-3)
         assert res.expected_work <= closed + 1e-9
+
+    def test_never_below_guideline_when_sparse_sweep_skips_its_count(self):
+        """Above 24 periods the count sweep is sparse; the guideline's own
+        count must still be swept, so the optimum is never below it."""
+        p, c = PolynomialRisk(3, 600.0), 2.0
+        g = guideline_schedule(p, c)
+        assert g.schedule.num_periods not in _candidate_period_counts(p, c, None)
+        res = optimize_schedule(p, c)
+        # Rounding slack only: the skipped count cost 4.2e-5 relative.
+        assert res.expected_work >= g.expected_work * (1.0 - 1e-9)
 
     def test_geominc_structure(self):
         res = optimize_schedule(GeometricIncreasingRisk(30.0), 1.0)

@@ -165,6 +165,80 @@ class TestServeBatchCoalescing:
         assert server.coalesced == 1
 
 
+#: Overheads no tier may serve: ``E`` is meaningless unless ``c`` is finite
+#: and positive.
+BAD_OVERHEADS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0)
+
+
+class TestInvalidOverhead:
+    """A non-finite or non-positive ``c`` fails its own lane before any tier
+    runs: no breaker moves, no tier counter moves, nothing is "exhausted"."""
+
+    @staticmethod
+    def _server() -> PlanServer:
+        # Threshold 1: a single tier error on a bad lane would open a breaker.
+        return PlanServer(cache=PlanCache(), breaker_threshold=1)
+
+    @staticmethod
+    def _assert_untouched(server: PlanServer) -> None:
+        for tier in PlanServer.TIERS:
+            breaker = server.breakers[tier].as_dict()
+            assert breaker["state"] == "closed", tier
+            assert breaker["consecutive_failures"] == 0, tier
+            assert breaker["opens"] == 0, tier
+        assert server.exhausted == 0
+
+    @pytest.mark.parametrize("c", BAD_OVERHEADS)
+    @pytest.mark.parametrize("family", ["uniform", "geominc"])
+    def test_serve_rejects(self, family, c):
+        server = self._server()
+        with pytest.raises(PlanServingError, match="overhead c must be finite and positive"):
+            server.serve(family, c, 30.0)
+        self._assert_untouched(server)
+        assert server.served == 0
+        for tier in PlanServer.TIERS:
+            stats = server.tier_stats[tier]
+            assert stats.hits == stats.misses == stats.errors == 0, tier
+
+    @pytest.mark.parametrize("c", BAD_OVERHEADS)
+    def test_serve_batch_serves_the_valid_lanes(self, c):
+        server = self._server()
+        fams, cs, vs = ["uniform", "geominc", "uniform"], [0.1, c, 0.2], [60.0, 30.0, 80.0]
+        with pytest.raises(PlanServingError, match="1 of 3") as info:
+            server.serve_batch(fams, cs, vs)
+        assert "overhead c" in str(info.value.__cause__)
+        self._assert_untouched(server)
+        assert server.served == 2
+        # Per lane: the valid lanes get exactly the plans a scalar loop gets.
+        fresh = self._server()
+        plans, errors = fresh._serve_batch_impl(fams, cs, vs)
+        assert list(errors) == [1] and plans[1] is None
+        reference = PlanServer(cache=PlanCache())
+        for i in (0, 2):
+            assert _plans_equal(plans[i], reference.serve(fams[i], cs[i], vs[i]))
+        self._assert_untouched(fresh)
+
+    def test_duplicate_bad_lanes_share_the_error(self):
+        server = self._server()
+        nan = float("nan")
+        with pytest.raises(PlanServingError, match="2 of 3"):
+            server.serve_batch(["geominc"] * 3, [nan, 0.5, nan], [30.0] * 3)
+        self._assert_untouched(server)
+        assert server.coalesced == 1 and server.served == 1
+
+    def test_batching_front_door_delivers_per_future(self):
+        server = self._server()
+        with BatchingPlanServer(server, max_batch=3, max_delay_ms=60_000) as front:
+            bad = [front.submit("geominc", float("nan"), 30.0),
+                   front.submit("uniform", 0.0, 60.0)]
+            good = front.submit("uniform", 0.1, 60.0)
+            assert good.result(timeout=30).schedule.num_periods >= 1
+            for fut in bad:
+                with pytest.raises(PlanServingError, match="overhead c"):
+                    fut.result(timeout=30)
+        self._assert_untouched(server)
+
+
 class TestBatchingPlanServer:
     def test_validates_max_batch(self):
         for bad in (0, -3, True, 1.5, "8"):
