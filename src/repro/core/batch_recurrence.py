@@ -10,13 +10,17 @@ refine).  This module iterates the same system for an **entire vector of
 * each candidate occupies one *lane* of a NumPy state block
   ``(T_{k-1}, t_{k-1}, p(T_{k-1}), E_{so far})``;
 * every recurrence step issues one vectorized ``p(...)`` /
-  ``p.derivative(...)`` / ``p.inverse(...)`` call over the still-alive lanes
-  (with vectorized closed forms for the Section 4 families, mirroring
-  :func:`repro.core.recurrence._closed_form_step`);
+  ``p.derivative(...)`` / ``p.inverse(...)`` call over the still-alive lanes,
+  or, for the Section 4 families, the mixed-lane engine's closed-form step
+  with constant ``c``/θ lanes;
 * lanes terminate independently, with the same rules and priority order as
   the scalar engine (``LIFESPAN_EXHAUSTED``, ``TARGET_NONPOSITIVE``,
   ``UNPRODUCTIVE``, ``TAIL_NEGLIGIBLE``, ``MAX_PERIODS``), so a whole grid
   costs ``O(max periods)`` vector operations.
+
+The lane loop itself is the one in :mod:`repro.core.hetero_recurrence`; this
+module supplies the per-family step and survival callables, then rebuilds
+the recurrence targets and rescores ``E`` from the emitted periods.
 
 The scalar engine remains the specification: for every lane the batch engine
 must reproduce its periods, boundaries, recurrence targets, and termination
@@ -35,6 +39,13 @@ import numpy as np
 
 from ..exceptions import InvalidScheduleError
 from ..types import FloatArray
+from .hetero_recurrence import (
+    _TERMINATION_BY_CODE,
+    StepFn,
+    _check_lanes,
+    _closed_form,
+    _iterate_lanes,
+)
 from .life_functions import (
     GeometricDecreasingLifespan,
     GeometricIncreasingRisk,
@@ -49,16 +60,6 @@ __all__ = [
     "generate_schedules_batch",
     "batch_expected_work",
 ]
-
-#: Stable integer codes for per-lane termination bookkeeping.
-_TERMINATION_BY_CODE: tuple[Termination, ...] = (
-    Termination.TARGET_NONPOSITIVE,
-    Termination.UNPRODUCTIVE,
-    Termination.LIFESPAN_EXHAUSTED,
-    Termination.TAIL_NEGLIGIBLE,
-    Termination.MAX_PERIODS,
-)
-_CODE: dict[Termination, int] = {t: i for i, t in enumerate(_TERMINATION_BY_CODE)}
 
 
 @dataclass(frozen=True)
@@ -124,44 +125,37 @@ class BatchRecurrenceResult:
 
 
 # ----------------------------------------------------------------------
-# Vectorized closed-form steps for the Section 4 families
+# The lane engine: an adapter over the shared hetero lane loop
 # ----------------------------------------------------------------------
 
 
-def _batch_closed_form_step(
-    p: LifeFunction, c: float, t_prev: FloatArray, boundary_prev: FloatArray
-) -> Optional[FloatArray]:
-    """Vectorized Section 4 closed form; NaN lanes mean "no next period".
-
-    Mirrors :func:`repro.core.recurrence._closed_form_step` lane-wise;
-    ``None`` means the family has no closed form (use the generic path).
-    """
+def _closed_form_family(p: LifeFunction) -> Optional[tuple[str, int, float]]:
+    """``(family, d, ln a)`` of a Section 4 closed form; ``None`` if ``p`` has none."""
     if isinstance(p, PolynomialRisk):
-        if p.d == 1:
-            return t_prev - c
-        ratio = 1.0 + p.d * (t_prev - c) / boundary_prev
-        ok = ratio > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = (ratio[ok] ** (1.0 / p.d) - 1.0) * boundary_prev[ok]
-        return out
+        return "poly", p.d, math.nan
     if isinstance(p, GeometricDecreasingLifespan):
-        arg = 1.0 + (c - t_prev) * p.ln_a
-        ok = arg > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = -np.log(arg[ok]) / p.ln_a
-        return out
+        return "geomdec", 1, p.ln_a
     if isinstance(p, GeometricIncreasingRisk):
-        arg = (t_prev - c) * math.log(2.0) + 1.0
-        ok = arg > 0.0
-        out = np.full_like(t_prev, np.nan)
-        out[ok] = np.log2(arg[ok])
-        return out
+        return "geominc", 1, math.nan
     return None
 
 
-# ----------------------------------------------------------------------
-# The lane engine
-# ----------------------------------------------------------------------
+def _generic_step(p: LifeFunction, c: float) -> StepFn:
+    """The ``p``/``p'``/``p^{-1}`` lane step of system (3.6) for any family."""
+
+    def step(idx: np.ndarray, tp: FloatArray, b: FloatArray, ph: FloatArray) -> FloatArray:
+        target = ph + (tp - c) * np.asarray(p.derivative(b), dtype=float)
+        t_next = np.full(idx.size, np.nan)
+        # target >= p(T_{k-1}) would move the boundary backwards (only for
+        # t_prev < c); emit a zero-length period so the UNPRODUCTIVE rule
+        # fires, exactly as the scalar engine does.
+        t_next[target >= ph] = 0.0
+        inside = (target > 0.0) & (target < ph)
+        if np.any(inside):
+            t_next[inside] = np.asarray(p.inverse(target[inside]), dtype=float) - b[inside]
+        return t_next
+
+    return step
 
 
 def generate_schedules_batch(
@@ -195,155 +189,42 @@ def generate_schedules_batch(
     Raises
     ------
     InvalidScheduleError
-        If ``c < 0``, ``t0s`` is empty or not one-dimensional, or any lane
-        has ``t0 <= c`` (every initial period must be productive, exactly as
-        the scalar engine requires).
+        If ``c`` is not finite and nonnegative, ``t0s`` is empty or not
+        one-dimensional, or any lane has a non-finite ``t0`` or ``t0 <= c``
+        (every initial period must be productive, exactly as the scalar
+        engine requires).
     """
     if engine not in ("numpy", "jit"):
         raise InvalidScheduleError(
             f"unknown engine {engine!r}; expected 'numpy' or 'jit'"
         )
-    if c < 0:
-        raise InvalidScheduleError(f"overhead c must be nonnegative, got {c}")
     t0_arr = np.asarray(t0s, dtype=float)
     if t0_arr.ndim != 1:
         raise InvalidScheduleError(f"t0s must be one-dimensional, got shape {t0_arr.shape}")
-    if t0_arr.size == 0:
-        raise InvalidScheduleError("need at least one t0 candidate")
-    if not np.all(np.isfinite(t0_arr)):
-        raise InvalidScheduleError("t0 candidates must be finite")
-    if np.any(t0_arr <= c):
-        bad = float(t0_arr[t0_arr <= c][0])
-        raise InvalidScheduleError(
-            f"initial period t0 = {bad} must exceed the overhead c = {c}"
-        )
-
-    if engine == "jit":
-        jitted = _generate_batch_jit(p, c, t0_arr, max_periods, tail_tol)
-        if jitted is not None:
-            return jitted
-        # Unmapped family or no usable numba: transparent NumPy fallback.
-
     n = t0_arr.size
-    lifespan = p.lifespan
-    finite_life = math.isfinite(lifespan)
+    cs = np.full(n, float(c))
+    _check_lanes(cs, t0_arr)
 
-    term = np.full(n, _CODE[Termination.MAX_PERIODS], dtype=np.int8)
-    alive = np.ones(n, dtype=bool)
-    first = t0_arr.copy()
-    if finite_life:
-        # A t0 spanning the whole lifespan earns p(L) = 0; clamp rather than
-        # reject so t0 sweeps remain total (scalar engine's pre-loop rule).
-        clamped = t0_arr >= lifespan
-        if np.any(clamped):
-            first[clamped] = np.minimum(t0_arr[clamped], lifespan)
-            term[clamped] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-            alive[clamped] = False
-
-    sqrt_tail = math.sqrt(tail_tol)
-    edge = lifespan - 1e-15 * lifespan if finite_life else math.inf
-
-    # Compacted live-lane state: ``idx`` maps the compact rows back to lanes;
-    # everything else (previous period, boundary T_{k-1}, p(T_{k-1}), banked
-    # E) lives in dense arrays the vector ops run over directly.  Dead lanes
-    # are dropped by boolean compaction instead of masked out, so per-step
-    # cost tracks the number of *surviving* candidates.
-    idx = np.nonzero(alive)[0]
-    tp = first[idx]
-    b = first[idx]
-    ph = np.asarray(p(b), dtype=float) if idx.size else np.empty(0)
-    e = np.maximum(0.0, tp - c) * ph
-
-    # NaN-padded output buffers, grown geometrically; column k holds period
-    # k+1 (and its recurrence target) for the lanes that reached it.
-    cap = 32
-    periods_buf = np.full((n, cap), np.nan)
-    targets_buf = np.full((n, cap), np.nan)
-    k = 0
-
-    for _ in range(max_periods - 1):
-        if idx.size == 0:
-            break
-        if finite_life:
-            hit = b >= edge
-            if np.any(hit):
-                term[idx[hit]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-                keep = ~hit
-                idx, tp, b, ph, e = idx[keep], tp[keep], b[keep], ph[keep], e[keep]
-                if idx.size == 0:
-                    break
-
-        target: Optional[FloatArray] = None
-        closed = _batch_closed_form_step(p, c, tp, b) if use_closed_form else None
-        if closed is not None:
-            t_next = closed  # NaN lanes: target non-positive, schedule ends
+    lanes = _batch_jit_lanes(p, c, t0_arr, max_periods, tail_tol) if engine == "jit" else None
+    if lanes is None:
+        # engine="numpy", an unmapped family, or no usable numba.
+        closed = _closed_form_family(p) if use_closed_form else None
+        if closed is None:
+            step = _generic_step(p, c)
         else:
-            target = ph + (tp - c) * np.asarray(p.derivative(b), dtype=float)
-            t_next = np.full(idx.size, np.nan)
-            # target >= p(T_{k-1}) would move the boundary backwards (only for
-            # t_prev < c); emit a zero-length period so the UNPRODUCTIVE rule
-            # fires, exactly as the scalar engine does.
-            t_next[target >= ph] = 0.0
-            inside = (target > 0.0) & (target < ph)
-            if np.any(inside):
-                t_next[inside] = np.asarray(p.inverse(target[inside]), dtype=float) - b[inside]
-
-        nonpositive = np.isnan(t_next)
-        unproductive = ~nonpositive & (t_next <= c)
-        if finite_life:
-            overshoot = ~nonpositive & ~unproductive & (b + t_next > lifespan)
-            surviving = ~(nonpositive | unproductive | overshoot)
-            term[idx[overshoot]] = _CODE[Termination.LIFESPAN_EXHAUSTED]
-        else:
-            surviving = ~(nonpositive | unproductive)
-        term[idx[nonpositive]] = _CODE[Termination.TARGET_NONPOSITIVE]
-        term[idx[unproductive]] = _CODE[Termination.UNPRODUCTIVE]
-        if not np.any(surviving):
-            break
-
-        sidx = idx[surviving]
-        tn = t_next[surviving]
-        if target is None:
-            tgt = ph[surviving] + (tp[surviving] - c) * np.asarray(
-                p.derivative(b[surviving]), dtype=float
-            )
-        else:
-            tgt = target[surviving]
-
-        if k == cap:
-            cap *= 2
-            grown = np.full((n, cap), np.nan)
-            grown[:, : periods_buf.shape[1]] = periods_buf
-            periods_buf = grown
-            grown = np.full((n, cap), np.nan)
-            grown[:, : targets_buf.shape[1]] = targets_buf
-            targets_buf = grown
-        periods_buf[sidx, k] = tn
-        targets_buf[sidx, k] = tgt
-        k += 1
-
-        b = b[surviving] + tn
-        tp = tn
-        ph = np.asarray(p(b), dtype=float)
-        contribution = (tn - c) * ph
-        e = e[surviving] + contribution
-        negligible = (contribution < tail_tol * np.maximum(1.0, e)) & (ph < sqrt_tail)
-        if np.any(negligible):
-            term[sidx[negligible]] = _CODE[Termination.TAIL_NEGLIGIBLE]
-            keep = ~negligible
-            idx, tp, b, ph, e = sidx[keep], tp[keep], b[keep], ph[keep], e[keep]
-        else:
-            idx = sidx
-
-    periods = np.concatenate([first[:, None], periods_buf[:, :k]], axis=1)
-    targets = targets_buf[:, :k]
-    num_periods = 1 + np.sum(~np.isnan(periods[:, 1:]), axis=1)
+            family, d, ln_a = closed
+            step = _closed_form(family, d, cs, np.full(n, ln_a))
+        lanes = _iterate_lanes(
+            t0_arr, cs, np.full(n, p.lifespan), step,
+            lambda idx, b: np.asarray(p(b), dtype=float), max_periods, tail_tol,
+        )
+    periods, num_periods, term, _ = lanes
     return BatchRecurrenceResult(
         t0s=t0_arr,
         periods=periods,
         num_periods=num_periods,
         termination_codes=term,
-        targets=targets,
+        targets=_targets_from_periods(p, c, periods),
         expected_work=batch_expected_work(periods, p, c),
     )
 
@@ -354,10 +235,11 @@ def _targets_from_periods(
     """Reconstruct the recurrence targets from an emitted period block.
 
     Column ``k`` of the result is ``p(T_k) + (t_k - c) p'(T_k)`` wherever
-    period ``k + 1`` was emitted — exactly the value the NumPy engine records
-    in its loop, because boundary accumulation is sequential in both places
-    and ``p`` / ``p.derivative`` are elementwise.  Lets the jit path return
-    full diagnostics without the kernel carrying the life-function object.
+    period ``k + 1`` was emitted — exactly the target the generic step
+    computes in the lane loop, because boundary accumulation is sequential in
+    both places and ``p`` / ``p.derivative`` are elementwise.  Lets both
+    engines return full diagnostics without the lane loop (or the compiled
+    kernel) carrying a targets buffer.
     """
     n, width = periods.shape
     if width <= 1:
@@ -373,20 +255,16 @@ def _targets_from_periods(
     return targets
 
 
-def _generate_batch_jit(
-    p: LifeFunction,
-    c: float,
-    t0_arr: FloatArray,
-    max_periods: int,
-    tail_tol: float,
-) -> Optional[BatchRecurrenceResult]:
-    """The compiled homogeneous sweep, or ``None`` when it cannot apply.
+def _batch_jit_lanes(
+    p: LifeFunction, c: float, t0_arr: FloatArray, max_periods: int, tail_tol: float
+) -> Optional[tuple[FloatArray, np.ndarray, np.ndarray, FloatArray]]:
+    """The compiled homogeneous sweep's lanes, or ``None`` when it cannot apply.
 
     A single-``(p, c)`` sweep is the heterogeneous kernel with constant
     ``c``/θ lanes, so the one compiled loop serves both engines.  Expected
     work is rescored with :func:`batch_expected_work` (NumPy's pairwise row
-    reduction) so the jit path is score-identical with the NumPy engine
-    rather than only period-identical.
+    reduction) by the caller, so the jit path is score-identical with the
+    NumPy engine rather than only period-identical.
     """
     from .. import jitkernels
 
@@ -396,24 +274,10 @@ def _generate_batch_jit(
     if mapped is None:
         return None
     fam, d, theta = mapped
-    kern = jitkernels.kernels()
     n = t0_arr.size
-    periods, num_periods, term, _ = kern.hetero_recurrence(
-        fam,
-        int(d),
-        np.full(n, float(c)),
-        np.full(n, float(theta)),
-        np.ascontiguousarray(t0_arr, dtype=np.float64),
-        int(max_periods),
-        float(tail_tol),
-    )
-    return BatchRecurrenceResult(
-        t0s=t0_arr,
-        periods=periods,
-        num_periods=num_periods,
-        termination_codes=term,
-        targets=_targets_from_periods(p, c, periods),
-        expected_work=batch_expected_work(periods, p, c),
+    return jitkernels.kernels().hetero_recurrence(
+        fam, int(d), np.full(n, float(c)), np.full(n, float(theta)),
+        np.ascontiguousarray(t0_arr), int(max_periods), float(tail_tol),
     )
 
 

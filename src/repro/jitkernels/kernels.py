@@ -34,9 +34,10 @@ import math
 import numpy as np
 from numba import njit
 
-#: Termination codes, identical to ``_TERMINATION_BY_CODE`` in both batch
-#: engines: (TARGET_NONPOSITIVE, UNPRODUCTIVE, LIFESPAN_EXHAUSTED,
-#: TAIL_NEGLIGIBLE, MAX_PERIODS).
+#: Termination codes, identical to the ``_TERMINATION_BY_CODE`` table that
+#: :mod:`repro.core.hetero_recurrence` shares with the batch engine:
+#: (TARGET_NONPOSITIVE, UNPRODUCTIVE, LIFESPAN_EXHAUSTED, TAIL_NEGLIGIBLE,
+#: MAX_PERIODS).
 TERM_TARGET_NONPOSITIVE = 0
 TERM_UNPRODUCTIVE = 1
 TERM_LIFESPAN_EXHAUSTED = 2
@@ -84,7 +85,7 @@ def hetero_recurrence(fam, d, cs, params, t0s, max_periods, tail_tol):
     its whole recurrence in registers, no compaction, no temporaries.  Lanes
     are independent, and every per-step operation (step formula, termination
     tests in priority order, left-to-right E accumulation) replays the NumPy
-    engines' order exactly, so results agree up to the module-documented
+    lane loop's order exactly, so results agree up to the module-documented
     ULP sites.
 
     Returns ``(periods, num_periods, term_codes, expected_work)`` with

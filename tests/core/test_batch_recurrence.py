@@ -111,7 +111,7 @@ class TestBatchExpectedWork:
 
 
 class TestFastParity:
-    """One tier-1 cell per Section 4 family (full matrix runs under -m slow)."""
+    """One cell per Section 4 family (test_full_parity_matrix covers every family)."""
 
     @pytest.mark.parametrize(
         "p,c",
@@ -167,7 +167,6 @@ def test_parity_property(family, c, frac, use_closed_form):
     assert_recurrence_parity(report)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("use_closed_form", [True, False])
 def test_full_parity_matrix(use_closed_form):
     """Every canonical family, 17-lane grid, both recurrence step paths."""
