@@ -40,7 +40,10 @@ class FaultEvent:
         detail: Optional[Mapping[str, float]] = None,
     ) -> "FaultEvent":
         """Build an event with the detail mapping canonicalized (sorted)."""
-        items = tuple(sorted((str(k), float(v)) for k, v in (detail or {}).items()))
+        if not detail:
+            # Crash/restart records carry no detail; skip the sort.
+            return cls(time=float(time), kind=str(kind), ws_id=int(ws_id))
+        items = tuple(sorted((str(k), float(v)) for k, v in detail.items()))
         return cls(time=float(time), kind=str(kind), ws_id=int(ws_id), detail=items)
 
     def as_dict(self) -> dict[str, Any]:

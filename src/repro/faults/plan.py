@@ -163,6 +163,9 @@ _INJECTOR_TYPES = (
     LifeDriftFault,
 )
 
+#: Largest block of crash inter-arrival times drawn at once.
+_MAX_CRASH_BLOCK = 4096
+
 #: Independent RNG sub-stream per fault class (spawn keys off the plan seed),
 #: so enabling one injector never perturbs another's draws.
 _STREAMS = {
@@ -268,36 +271,71 @@ class FaultRuntime:
             self._drift.at_fraction * horizon if self._drift is not None else math.inf
         )
         self._drift_logged: set[int] = set()
-        self._crash_schedule = {
-            ws: self._generate_crashes(ws) for ws in ws_ids
-        }
+        # Outages stored flat, in generation order; _crash_spans maps each
+        # workstation to its [lo, hi) slice.
+        self._crash_times: list[float] = []
+        self._restart_times: list[float] = []
+        self._crash_spans: dict[int, tuple[int, int]] = {}
+        self._generate_crashes(ws_ids)
 
     # ------------------------------------------------------------------
-    # Crash schedule (pre-generated, deterministic per (seed, ws_id))
+    # Crash schedule (pre-generated, deterministic per (seed, ws_ids))
     # ------------------------------------------------------------------
 
-    def _generate_crashes(self, ws_id: int) -> list[tuple[float, float]]:
-        """Poisson crash times over the horizon, as (crash, restart) pairs.
+    def _generate_crashes(self, ws_ids: Sequence[int]) -> None:
+        """Poisson crash times over the horizon, as (crash, restart) pairs
+        per workstation.
 
         Crashes landing inside a previous outage are dropped (a machine that
         is down cannot crash again), so outages never overlap.
+
+        RNG contract: workstations draw in ``ws_ids`` order from the shared
+        crash stream, each until its clock reaches the horizon.  The
+        exponentials come in blocks of ``1, 1, 2, 4, ...`` (capped at
+        :data:`_MAX_CRASH_BLOCK`); after the last workstation the generator
+        is rewound to the last block's start and re-drawn for the consumed
+        count only, so the schedule and the generator's final state are
+        those of one ``exponential(mtbf)`` draw at a time.
         """
-        if self._crash is None:
-            return []
+        if self._crash is None or len(ws_ids) == 0:
+            return
+        spans = self._crash_spans
         rng = self._rngs["crash"]
-        pairs: list[tuple[float, float]] = []
-        t = 0.0
+        mtbf = self._crash.mtbf
+        restart_time = self._crash.restart_time
+        horizon = self.horizon
+        crashes = self._crash_times
+        restarts = self._restart_times
+        i = drawn = lo = 0
+        t, down_until = 0.0, -math.inf
         while True:
-            t += float(rng.exponential(self._crash.mtbf))
-            if t >= self.horizon:
-                return pairs
-            if pairs and t < pairs[-1][1]:
-                continue  # still down from the previous crash
-            pairs.append((t, t + self._crash.restart_time))
+            size = min(max(drawn, 1), _MAX_CRASH_BLOCK)
+            snapshot = rng.bit_generator.state
+            block = rng.exponential(mtbf, size).tolist()
+            drawn += size
+            for used, gap in enumerate(block, 1):
+                t += gap
+                if t < horizon:
+                    if t >= down_until:  # else still down from the last crash
+                        down_until = t + restart_time
+                        crashes.append(t)
+                        restarts.append(down_until)
+                    continue
+                spans[ws_ids[i]] = (lo, len(crashes))
+                lo = len(crashes)
+                i += 1
+                if i == len(ws_ids):
+                    if used < size:
+                        # Hand back the unused draws of this block.
+                        rng.bit_generator.state = snapshot
+                        rng.exponential(mtbf, used)
+                    return
+                t, down_until = 0.0, -math.inf
 
     def crash_schedule(self, ws_id: int) -> list[tuple[float, float]]:
         """The (crash time, restart time) outages planned for one workstation."""
-        return list(self._crash_schedule.get(ws_id, []))
+        lo, hi = self._crash_spans.get(ws_id, (0, 0))
+        return list(zip(self._crash_times[lo:hi], self._restart_times[lo:hi]))
 
     def crash_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All planned outages flattened across workstations, as arrays.
@@ -307,25 +345,27 @@ class FaultRuntime:
         heap in, so a fleet engine can bulk-push the whole churn timeline
         without per-host Python loops.
         """
-        ws_ids: list[int] = []
-        crashes: list[float] = []
-        restarts: list[float] = []
-        for ws in sorted(self._crash_schedule):
-            for crash_at, restart_at in self._crash_schedule[ws]:
-                ws_ids.append(ws)
-                crashes.append(crash_at)
-                restarts.append(restart_at)
+        order = sorted(self._crash_spans)
+        spans = np.array(
+            [self._crash_spans[ws] for ws in order], dtype=np.int64
+        ).reshape(-1, 2)
+        counts = spans[:, 1] - spans[:, 0]
+        # Concatenated [lo, hi) ranges; the identity when ws_ids came sorted
+        # and unique, as from FaultPlan.start.
+        idx = np.arange(int(counts.sum())) + np.repeat(
+            spans[:, 0] - (np.cumsum(counts) - counts), counts
+        )
         return (
-            np.asarray(ws_ids, dtype=np.int64),
-            np.asarray(crashes, dtype=float),
-            np.asarray(restarts, dtype=float),
+            np.repeat(np.asarray(order, dtype=np.int64), counts),
+            np.asarray(self._crash_times, dtype=float)[idx],
+            np.asarray(self._restart_times, dtype=float)[idx],
         )
 
     def outage_time(self, ws_id: int, horizon: Optional[float] = None) -> float:
         """Total planned downtime for one workstation within the horizon."""
         end = self.horizon if horizon is None else float(horizon)
         total = 0.0
-        for crash_at, restart_at in self._crash_schedule.get(ws_id, []):
+        for crash_at, restart_at in self.crash_schedule(ws_id):
             total += max(0.0, min(restart_at, end) - crash_at)
         return total
 

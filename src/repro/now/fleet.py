@@ -31,6 +31,12 @@ This module rebuilds the same simulation for *N* hosts around three ideas:
    bit-reproducible from ``(seed, n_hosts, policy)`` and an ``n = 1`` fleet
    is **bit-identical** to ``run_farm`` fed the same substream (dispatch
    log, stats, goodput, and fault digest — differentially tested).
+   The streams are not built with one ``default_rng`` call per host:
+   :func:`_host_generators` runs SeedSequence's entropy hash for every host
+   key at once in NumPy uint32 arithmetic and seeds each ``PCG64`` from the
+   precomputed words.  The contract is unchanged: host ``key`` gets exactly
+   the state of ``default_rng([seed, 0|1, key])`` (tested state for state
+   against that oracle, which :func:`host_rng` still builds the plain way).
 
 4. **A calendar-queue batched event core** (``run_fleet(core="batched")``,
    the default).  Every owner leave/return is precomputed in bulk up front
@@ -98,6 +104,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..core.hetero_recurrence import HETERO_FAMILIES, generate_schedules_hetero
 from ..core.life_functions import (
@@ -174,6 +181,13 @@ def _make_life(family: str, value: float, d: int) -> LifeFunction:
 # ----------------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    # SeedSequence only takes non-negative entropy; reject at the boundary
+    # instead of deep inside run_fleet's host seeding.
+    if seed < 0:
+        raise SimulationError(f"fleet seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """Per-host parameters for one fleet, as struct-of-arrays vectors.
@@ -222,6 +236,11 @@ class FleetSpec:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.shape != self.cs.shape or len(set(keys.tolist())) != keys.size:
             raise SimulationError("host_keys must be unique, one per host")
+        if keys.min() < 0:
+            raise SimulationError(
+                f"host_keys must be non-negative, got {int(keys.min())}"
+            )
+        _check_seed(self.seed)
         object.__setattr__(self, "host_keys", keys)
         object.__setattr__(self, "d", int(self.d) if self.family == "poly" else 1)
 
@@ -284,6 +303,7 @@ class FleetSpec:
                     f"heterogeneous {name} must satisfy 0 < lo <= hi with "
                     f"finite bounds (log-uniform draws), got ({lo}, {hi})"
                 )
+        _check_seed(seed)
         rng = np.random.default_rng([int(seed), 2])
         logu = lambda lo, hi: np.exp(rng.uniform(math.log(lo), math.log(hi),
                                                  int(n_hosts)))
@@ -292,8 +312,134 @@ class FleetSpec:
 
 
 def host_rng(spec: FleetSpec, i: int) -> np.random.Generator:
-    """Host ``i``'s owner-draw substream: ``default_rng([seed, 0, key_i])``."""
+    """Host ``i``'s owner-draw substream: ``default_rng([seed, 0, key_i])``.
+
+    Built the plain way on purpose: it is the independent oracle that the
+    n = 1 parity harness and the seeding tests check :func:`run_fleet`'s
+    vectorized :func:`_host_generators` against.
+    """
     return np.random.default_rng([int(spec.seed), 0, int(spec.host_keys[i])])
+
+
+# ----------------------------------------------------------------------
+# Vectorized host seeding
+# ----------------------------------------------------------------------
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_SS_POOL = 4
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = np.uint32(0xCA01F9DD)
+_SS_MIX_R = np.uint32(0x4973F715)
+_SS_SHIFT = np.uint32(16)
+_U32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of one non-negative int into uint32 words."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _U32]
+    n >>= 32
+    while n:
+        words.append(n & _U32)
+        n >>= 32
+    return words
+
+
+def _seed_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for many rows.
+
+    ``entropy`` holds one uint32 column per entropy word (all rows share the
+    word count).  The hash constants evolve independently of the data, so
+    SeedSequence's scalar loops become column operations in wrapping uint32
+    arithmetic.  Entropy shorter than the pool is zero-padded, which is what
+    the scalar ``hashmix(0)`` fill computes; longer entropy runs the extra
+    mixing loop.  Returns an ``(rows, 4)`` uint64 array.
+    """
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _U32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SS_SHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _SS_MIX_L * x - _SS_MIX_R * y
+        return result ^ (result >> _SS_SHIFT)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_SS_POOL)]
+    for i_src in range(_SS_POOL):
+        for i_dst in range(_SS_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_SS_POOL, len(entropy)):
+        for i_dst in range(_SS_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+
+    # generate_state(4, uint64): 8 uint32 words cycled off the pool, paired
+    # little-end first into 4 uint64 words.
+    hash_const = _SS_INIT_B
+    state = np.empty((zero.size, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _U32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _SS_SHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A precomputed PCG64 seed: the 4 uint64 words of one SeedSequence."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"precomputed seed holds 4 uint64 words, asked for "
+                f"{n_words} {np.dtype(dtype)}"
+            )
+        return self._words
+
+
+def _host_generators(
+    seed: int, stream: int, keys: Sequence[int]
+) -> list[np.random.Generator]:
+    """One generator per host key, each equal to
+    ``default_rng([seed, stream, key])``.
+
+    SeedSequence hashing runs once for all keys (:func:`_seed_state`),
+    grouped by entropy word count (a key ``>= 2**32`` is two words), and
+    each ``PCG64`` is seeded from its precomputed words — same states, about
+    a fifth of the per-host cost of ``default_rng``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size and int(keys.min()) < 0:
+        raise ValueError("expected non-negative integer")
+    head = [np.full(keys.size, w, dtype=np.uint32)
+            for w in _uint32_words(seed) + _uint32_words(stream)]
+    low = (keys & _U32).astype(np.uint32)
+    high = (keys >> 32).astype(np.uint32)
+    wide = high != 0
+    words = np.empty((keys.size, 4), dtype=np.uint64)
+    for rows, extra in ((np.flatnonzero(~wide), []),
+                        (np.flatnonzero(wide), [high])):
+        if rows.size:
+            words[rows] = _seed_state(
+                [col[rows] for col in head + [low] + extra]
+            )
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 def host_life(spec: FleetSpec, i: int) -> LifeFunction:
@@ -1016,12 +1162,13 @@ def run_fleet(
         if lf is None:
             lf = life_cache[p] = _make_life(spec.family, p, spec.d)
         lives.append(lf)
+    owner_rngs = _host_generators(seed, 0, keys)
+    steal_rngs = (_host_generators(seed, 1, keys) if stealing and n_hosts > 1
+                  else [None] * n_hosts)
     hosts = [
         _Host(
             i, keys_l[i], cs_l[i], speeds_l[i], pm_l[i], lives[i],
-            np.random.default_rng([seed, 0, keys_l[i]]),
-            np.random.default_rng([seed, 1, keys_l[i]])
-            if stealing and n_hosts > 1 else None,
+            owner_rngs[i], steal_rngs[i],
             periods_l[i][: int(nper_l[i])],
             pools[i],
         )

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import FaultPlanError
 from repro.faults import (
     CrashFault,
     DispatchFate,
+    FaultEvent,
     FaultLog,
     FaultPlan,
     LifeDriftFault,
@@ -147,6 +149,40 @@ class TestFaultLog:
         dicts = log.as_dicts()
         assert dicts[2]["detail"] == {"delay": 0.5}
         assert log.by_kind("message_loss")[0].ws_id == 0
+
+    def test_detail_free_fast_path_is_serialization_neutral(self):
+        # Events with and without detail, NumPy scalar inputs, and both
+        # spellings of "no detail"; the digest is pinned to the value the
+        # always-sorting constructor produced.
+        records = [
+            (1.5, "crash", 3, None),
+            (np.float64(3.5), "restart", np.int64(3), None),
+            (2, "message_delay", 1, {"delay": 0.25}),
+            (0.1 + 0.2, "overhead_jitter", 0,
+             {"factor": 1.125, "c": np.float64(2.0)}),
+            (4.0, "crash", 2, {}),
+            (5.0, "restart", 2, None),
+        ]
+        log = FaultLog()
+        for time, kind, ws, detail in records:
+            log.record(time, kind, ws, detail)
+        sorted_events = [
+            FaultEvent(
+                time=float(time), kind=str(kind), ws_id=int(ws),
+                detail=tuple(sorted((str(k), float(v))
+                                    for k, v in (detail or {}).items())),
+            )
+            for time, kind, ws, detail in records
+        ]
+        assert log.events == sorted_events
+        assert [type(e.time) for e in log] == [float] * len(records)
+        assert [type(e.ws_id) for e in log] == [int] * len(records)
+        assert log.as_dicts() == [e.as_dict() for e in sorted_events]
+        assert log.as_dicts()[0]["detail"] == {}
+        assert log.as_dicts()[3]["detail"] == {"c": 2.0, "factor": 1.125}
+        assert log.digest() == (
+            "b7793175da99b619cf5b4b9ff5ce7c62b31a05c1ac190de61f7fb74727fd9cd1"
+        )
 
     def test_clean_fate_property(self):
         assert DispatchFate(lost=False, delay=0.0, c_effective=1.0).clean

@@ -145,6 +145,42 @@ class TestFleetSpec:
                 host_keys=np.array([3, 3]),
             )
 
+    def test_negative_key_rejected(self):
+        # Used to pass and then fail inside run_fleet's RNG seeding with a
+        # raw "expected non-negative integer" ValueError.
+        with pytest.raises(SimulationError,
+                           match="host_keys must be non-negative, got -5"):
+            FleetSpec(
+                family="uniform",
+                cs=np.ones(2),
+                params=np.full(2, 64.0),
+                speeds=np.ones(2),
+                present_means=np.full(2, 8.0),
+                host_keys=np.array([0, -5]),
+            )
+
+    @pytest.mark.parametrize("build", [
+        lambda: FleetSpec.homogeneous(3, seed=-1),
+        lambda: FleetSpec.heterogeneous(3, seed=-1),
+    ])
+    def test_negative_seed_rejected(self, build):
+        with pytest.raises(SimulationError,
+                           match="fleet seed must be non-negative, got -1"):
+            build()
+
+    def test_large_keys_and_seed_accepted(self):
+        spec = FleetSpec(
+            family="uniform",
+            cs=np.ones(2),
+            params=np.full(2, 64.0),
+            speeds=np.ones(2),
+            present_means=np.full(2, 8.0),
+            seed=2**32 + 5,
+            host_keys=np.array([0, 2**63 - 1]),
+        )
+        res = run_fleet(spec, np.full(8, 1.0), 200.0, policy="stealing")
+        assert res.finished
+
 
 class TestPlan:
     def test_periods_exceed_overhead(self):
